@@ -16,7 +16,7 @@
 //! `docs/loadgen.md`). This module only owns the schedule side:
 //! [`schedule`] produces the offsets, [`offered_rate`] reports the rate a
 //! schedule actually encodes, and `rsr-net`'s
-//! `ReconClient::run_load` does the paced injection and timestamping.
+//! `Driver::load` does the paced injection and timestamping.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

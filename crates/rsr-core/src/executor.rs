@@ -36,7 +36,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
-use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Registry handles for the executor's process-wide metrics, resolved
@@ -111,8 +110,7 @@ impl ShardObs {
 }
 
 /// A wakeup hook a consumer can hang on the event stream: called after
-/// *every* event append — worker-emitted and [`Injector::inject`]ed alike
-/// — so a consumer that blocks somewhere other than [`Events::recv`]
+/// *every* event append, so a consumer that blocks somewhere other than [`Events::recv`]
 /// (e.g. a socket readiness loop in `poll(2)`) learns there is something
 /// to drain. Must be cheap and must never block; implementations
 /// typically flip an atomic and poke a self-pipe.
@@ -277,20 +275,6 @@ pub enum ExecEvent {
         /// The partial transcript.
         transcript: Transcript,
     },
-    /// Passed through verbatim from [`Injector::inject`]; the executor
-    /// itself never produces this. Lets a producer thread serialize its
-    /// own control decisions (e.g. a transport rejecting an unknown
-    /// session id, or reporting end-of-stream) into the one event stream
-    /// the consumer already drains.
-    Injected {
-        /// Producer-chosen session id (or sentinel).
-        id: u64,
-        /// Producer-chosen discriminant.
-        code: u32,
-        /// Producer-chosen detail — `Cow` like frame labels, so the
-        /// common static notes never allocate on the hot path.
-        note: Cow<'static, str>,
-    },
 }
 
 /// One entry in a shard's ready queue.
@@ -308,11 +292,10 @@ enum ShardMsg<'env> {
 }
 
 /// The feeding half of a running executor: submits sessions, delivers
-/// frames, closes sessions, and injects consumer-defined events.
+/// frames, and closes sessions.
 pub struct Injector<'env> {
     shard_txs: Vec<mpsc::Sender<ShardMsg<'env>>>,
     shard_obs: Vec<ShardObs>,
-    event_tx: EventTx,
     placement: Placement,
     shard_of: HashMap<u64, usize>,
 }
@@ -397,16 +380,6 @@ impl<'env> Injector<'env> {
         }
     }
 
-    /// Appends an [`ExecEvent::Injected`] to the event stream, after
-    /// everything workers have already emitted.
-    pub fn inject(&self, id: u64, code: u32, note: impl Into<Cow<'static, str>>) {
-        let _ = self.event_tx.send(ExecEvent::Injected {
-            id,
-            code,
-            note: note.into(),
-        });
-    }
-
     /// The shard `id` was placed on, if it was ever submitted.
     pub fn shard_of(&self, id: u64) -> Option<usize> {
         self.shard_of.get(&id).copied()
@@ -478,34 +451,25 @@ impl Events {
 
 /// Runs `f` with a live sharded executor: `shards` worker threads, a
 /// two-choice [`Placement`] salted with `placement_seed`, an
-/// [`Injector`] to feed it and an [`Events`] stream to drain it. The
-/// scope is passed through so transports can spawn their reader/writer
-/// threads alongside the workers.
+/// [`Injector`] to feed it and an [`Events`] stream to drain it.
 ///
-/// Shutdown is by dropping: when every [`Injector`] (there is exactly
-/// one unless `f` moved it into a scoped thread) is gone, workers finish
-/// their queues, emit [`ExecEvent::Stranded`] for sessions still live,
-/// and exit; the event stream then reports [`Wait::Closed`]. Everything
-/// `f` spawned is joined before `with_executor` returns.
-pub fn with_executor<'env, R>(
-    shards: usize,
-    placement_seed: u64,
-    f: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>, Injector<'env>, Events) -> R,
-) -> R {
-    with_executor_notified(shards, placement_seed, None, f)
-}
-
-/// [`with_executor`] with a consumer wakeup hook: `notify` (when given)
-/// runs after every event append, from whichever thread appended it.
-/// This is how a consumer that blocks in a socket readiness wait rather
-/// than on [`Events::recv`] — `rsr-net`'s reactor — hears the executor:
-/// the hook pokes the reactor's waker, the reactor drains
+/// `notify` (when given) is a consumer wakeup hook that runs after every
+/// event append, from whichever thread appended it. This is how a
+/// consumer that blocks in a socket readiness wait rather than on
+/// [`Events::recv`] — `rsr-net`'s reactor — hears the executor: the
+/// hook pokes the reactor's waker, the reactor drains
 /// [`Events::try_recv`] on its next iteration.
+///
+/// Shutdown is by dropping: once the [`Injector`] is gone (`f` may drop
+/// it early; otherwise it goes when `f` returns), workers finish their
+/// queues, emit [`ExecEvent::Stranded`] for sessions still live, and
+/// exit; the event stream then reports [`Wait::Closed`]. Every worker is
+/// joined before `with_executor_notified` returns.
 pub fn with_executor_notified<'env, R>(
     shards: usize,
     placement_seed: u64,
     notify: Option<Notify>,
-    f: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>, Injector<'env>, Events) -> R,
+    f: impl FnOnce(Injector<'env>, Events) -> R,
 ) -> R {
     assert!(shards >= 1, "executor needs at least one shard");
     std::thread::scope(|s| {
@@ -521,14 +485,16 @@ pub fn with_executor_notified<'env, R>(
             let worker_events = event_tx.clone();
             s.spawn(move || shard_worker(rx, worker_events, obs));
         }
+        // The workers hold the only senders: the stream closes once the
+        // injector is gone and they have drained their queues.
+        drop(event_tx);
         let injector = Injector {
             shard_txs,
             shard_obs,
-            event_tx,
             placement: Placement::new(shards, placement_seed),
             shard_of: HashMap::new(),
         };
-        f(s, injector, Events { rx: event_rx })
+        f(injector, Events { rx: event_rx })
     })
 }
 
@@ -798,7 +764,7 @@ pub fn drive_batch<'env>(
     pairs: Vec<(Box<dyn DynSession + 'env>, Box<dyn DynSession + 'env>)>,
     stall_timeout: Duration,
 ) -> Vec<PairOutcome> {
-    with_executor(shards, placement_seed, |_scope, mut injector, events| {
+    with_executor_notified(shards, placement_seed, None, |mut injector, events| {
         let n = pairs.len();
         let mut outcomes = Vec::with_capacity(n);
         for (i, (alice, bob)) in pairs.into_iter().enumerate() {
@@ -840,7 +806,7 @@ pub fn drive_batch<'env>(
                         injector.close(id ^ 1, "peer session failed");
                     }
                 }
-                Wait::Event(ExecEvent::Stranded { .. } | ExecEvent::Injected { .. }) => {}
+                Wait::Event(ExecEvent::Stranded { .. }) => {}
                 Wait::Timeout if !stalled => {
                     // No worker produced anything for a whole window:
                     // close every unfinished half; their Done events (and
@@ -1023,7 +989,7 @@ mod tests {
 
     #[test]
     fn injector_reports_unknown_ids() {
-        with_executor(2, 0, |_s, mut injector, _events| {
+        with_executor_notified(2, 0, None, |mut injector, _events| {
             assert!(!injector.deliver(9, Frame::seal("x", BitWriter::new())));
             assert!(!injector.close(9, "nope"));
             let shard = injector.submit(9, Party::Alice, Box::new(Mute));
@@ -1034,7 +1000,7 @@ mod tests {
 
     #[test]
     fn stranded_sessions_surface_on_shutdown() {
-        let stranded = with_executor(1, 0, |_s, mut injector, events| {
+        let stranded = with_executor_notified(1, 0, None, |mut injector, events| {
             injector.submit(5, Party::Bob, Box::new(Mute));
             drop(injector);
             let mut ids = Vec::new();
@@ -1050,7 +1016,7 @@ mod tests {
 
     #[test]
     fn next_times_out_while_sessions_live() {
-        with_executor(1, 0, |_s, mut injector, events| {
+        with_executor_notified(1, 0, None, |mut injector, events| {
             injector.submit(1, Party::Alice, Box::new(Mute));
             // A live but silent session: the stream must report Timeout,
             // not Closed — the executor is still running.
@@ -1074,32 +1040,32 @@ mod tests {
 
     #[test]
     fn next_drains_pending_events_before_reporting_closed() {
-        with_executor(1, 0, |_s, injector, events| {
-            injector.inject(9, 1, "queued before shutdown");
+        with_executor_notified(1, 0, None, |mut injector, events| {
+            // A real session that says one frame and finishes the moment
+            // its shard adopts it, submitted just before shutdown.
+            let one_shot = Pong {
+                to_send: 1,
+                expect: 0,
+                echo: false,
+            };
+            injector.submit(3, Party::Alice, Box::new(one_shot));
             drop(injector);
-            // An event queued before every injector went away must
-            // still surface; Closed is only ever the end of a drained
-            // stream.
+            // Everything the session emitted must still surface, in
+            // order; Closed is only ever the end of a drained stream.
             match events.next(None) {
-                Wait::Event(ExecEvent::Injected { id, .. }) => assert_eq!(id, 9),
-                other => panic!("expected the queued Injected event, got {other:?}"),
+                Wait::Event(ExecEvent::Frame { id, .. }) => assert_eq!(id, 3),
+                other => panic!("expected the session's frame, got {other:?}"),
+            }
+            match events.next(None) {
+                Wait::Event(ExecEvent::Done { id, error, .. }) => {
+                    assert_eq!(id, 3);
+                    assert!(error.is_none(), "unexpected error: {error:?}");
+                }
+                other => panic!("expected the session's Done, got {other:?}"),
             }
             match events.next(Some(Duration::from_secs(5))) {
                 Wait::Closed => {}
                 other => panic!("expected Closed, got {other:?}"),
-            }
-        });
-    }
-
-    #[test]
-    fn injected_events_pass_through() {
-        with_executor(1, 0, |_s, injector, events| {
-            injector.inject(77, 3, "note");
-            match events.recv() {
-                Some(ExecEvent::Injected { id, code, note }) => {
-                    assert_eq!((id, code, &*note), (77, 3, "note"));
-                }
-                other => panic!("unexpected event: {other:?}"),
             }
         });
     }

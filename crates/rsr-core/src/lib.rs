@@ -62,8 +62,8 @@ pub use emd_protocol::{
 };
 pub use emd_scaled::{ScaledEmdAliceSession, ScaledEmdBobSession, ScaledEmdProtocol};
 pub use executor::{
-    drive_batch, with_executor, DynSession, Events, ExecEvent, Injector, PairOutcome, Placement,
-    Wait,
+    drive_batch, with_executor_notified, DynSession, Events, ExecEvent, Injector, PairOutcome,
+    Placement, Wait,
 };
 pub use gap_low_dim::low_dim_gap_config;
 pub use gap_protocol::{

@@ -1,6 +1,6 @@
-//! [`ReconClient`] and [`MultiClient`]: batch many Alice sessions over
-//! one or many connections, all driven by **one** shared session
-//! executor behind the readiness reactor.
+//! The client engine behind [`ConnectedDriver`](crate::ConnectedDriver):
+//! run rounds of Alice sessions over a pool of connections, all driven
+//! by **one** shared session executor behind the readiness reactor.
 //!
 //! The client plays **Alice** for every session it runs. A round first
 //! `OPEN`s every session — each `OPEN` optionally carrying a negotiated
@@ -22,18 +22,17 @@
 //! truncated record, idle timeout — settles every unsettled session on
 //! that connection with an error, closes their local halves so each
 //! reports in (the blocking design instead deadlocked waiting on
-//! them), and leaves every other connection's sessions untouched. The
-//! single-connection [`ReconClient`] surfaces a connection failure as
-//! the batch-level `Err` it always did — but as a returned error, never
-//! a `join().expect` panic.
+//! them), records the failure in that connection's
+//! [`RunReport::transport_error`], and leaves every other connection's
+//! sessions untouched.
 //!
-//! [`MultiClient`] keeps its connections alive between rounds: call
-//! [`MultiClient::run_batches`] repeatedly to keep injecting new
-//! session batches on live connections, then [`MultiClient::finish`]
-//! to half-close and drain them.
+//! Connections stay alive between rounds: the pool outlives each round
+//! until [`ConnectedDriver::finish`](crate::ConnectedDriver::finish)
+//! half-closes and drains it.
 
 use crate::codec::{NetError, Record, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR};
-use crate::executor::{default_shards, PLACEMENT_SEED};
+use crate::driver::{RunReport, RunSession};
+use crate::executor::PLACEMENT_SEED;
 use crate::reactor::{ConnIo, READ_CHUNK};
 use crate::server::NetSession;
 use netpoll::{PollFd, Poller, POLLIN};
@@ -42,168 +41,9 @@ use rsr_core::executor::{with_executor_notified, ExecEvent, Injector, Notify};
 use rsr_core::transcript::{Party, Transcript};
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One session's client-side record within a [`BatchReport`].
-#[derive(Clone, Debug)]
-pub struct SessionReport {
-    /// The session id used on the wire.
-    pub id: u64,
-    /// Both directions of the session's traffic with measured bit sizes —
-    /// entry-for-entry the transcript the in-memory driver produces.
-    pub transcript: Transcript,
-    /// `None` if both halves completed; the first error otherwise.
-    pub error: Option<String>,
-}
-
-impl SessionReport {
-    /// True when both the local Alice half and the server's Bob half
-    /// finished cleanly.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
-}
-
-/// What one round did on one connection.
-#[derive(Debug, Default)]
-pub struct BatchReport {
-    /// Per-session reports, in the order the batch supplied them.
-    pub sessions: Vec<SessionReport>,
-    /// Frames sent to the server (all sessions).
-    pub frames_out: usize,
-    /// Frames received from the server and routed to a known session id
-    /// (all sessions). Counted at routing time, before the executor
-    /// decides whether the session is still live, so a frame racing a
-    /// session's failure is counted even though the worker drops it as
-    /// stale.
-    pub frames_in: usize,
-    /// Raw bytes written, record headers included.
-    pub wire_bytes_out: u64,
-    /// Raw bytes read, record headers included.
-    pub wire_bytes_in: u64,
-    /// The connection-level failure, when this connection's transport
-    /// died mid-round (every unsettled session then carries a matching
-    /// per-session error). `None` for an orderly round — including one
-    /// where the server closed cleanly before every session settled.
-    pub transport_error: Option<NetError>,
-}
-
-impl BatchReport {
-    /// Sessions that completed on both endpoints.
-    pub fn completed(&self) -> usize {
-        self.sessions.iter().filter(|s| s.is_ok()).count()
-    }
-
-    /// Sessions that failed (locally or server-side).
-    pub fn failed(&self) -> usize {
-        self.sessions.len() - self.completed()
-    }
-
-    /// Total payload bits across every session transcript.
-    pub fn payload_bits(&self) -> u64 {
-        self.sessions
-            .iter()
-            .map(|s| s.transcript.total_bits())
-            .sum()
-    }
-}
-
-/// One session's client-side record within a [`LoadReport`]: the batch
-/// fields plus the open-loop timing the load harness needs.
-#[derive(Clone, Debug)]
-pub struct LoadSessionReport {
-    /// The session id used on the wire.
-    pub id: u64,
-    /// When this session was *scheduled* to arrive, as an offset from the
-    /// run's start — fixed before the run by the arrival schedule.
-    pub scheduled: Duration,
-    /// When the generator actually injected it (OPEN queued, Alice half
-    /// submitted). `injected - scheduled` is the generator's own lag; a
-    /// large lag means the load loop itself could not keep up and the
-    /// cell's numbers should be treated with suspicion.
-    pub injected: Duration,
-    /// When the session fully settled (local half done *and* server
-    /// `DONE` received), as an offset from the run's start; `None` if it
-    /// never settled cleanly.
-    pub settled: Option<Duration>,
-    /// Both directions of the session's traffic with measured bit sizes.
-    pub transcript: Transcript,
-    /// `None` if both halves completed; the first error otherwise.
-    pub error: Option<String>,
-}
-
-impl LoadSessionReport {
-    /// True when both the local Alice half and the server's Bob half
-    /// finished cleanly.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
-
-    /// The session's open-loop latency: settle time minus *scheduled*
-    /// arrival. Measuring from the schedule (not the actual injection)
-    /// charges generator lag to the measurement instead of silently
-    /// forgiving it — the coordinated-omission rule (docs/loadgen.md).
-    pub fn latency(&self) -> Option<Duration> {
-        self.settled.map(|s| s.saturating_sub(self.scheduled))
-    }
-}
-
-/// What one open-loop run did on one connection.
-#[derive(Debug, Default)]
-pub struct LoadReport {
-    /// Per-session reports, in schedule order.
-    pub sessions: Vec<LoadSessionReport>,
-    /// From the run's start to the last session settling (or to the loop
-    /// ending, when sessions failed).
-    pub elapsed: Duration,
-    /// Frames sent to the server (all sessions).
-    pub frames_out: usize,
-    /// Frames received from the server and routed to a known session id.
-    pub frames_in: usize,
-    /// Raw bytes written, record headers included.
-    pub wire_bytes_out: u64,
-    /// Raw bytes read, record headers included.
-    pub wire_bytes_in: u64,
-    /// The connection-level failure, when this connection's transport
-    /// died mid-run; see [`BatchReport::transport_error`].
-    pub transport_error: Option<NetError>,
-}
-
-impl LoadReport {
-    /// Sessions that completed on both endpoints.
-    pub fn completed(&self) -> usize {
-        self.sessions.iter().filter(|s| s.is_ok()).count()
-    }
-
-    /// Sessions that failed (locally or server-side).
-    pub fn failed(&self) -> usize {
-        self.sessions.len() - self.completed()
-    }
-
-    /// The achieved completion rate in sessions/sec: completed sessions
-    /// over the run's elapsed span (0 for an empty or instant run).
-    pub fn achieved_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.completed() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The largest `injected - scheduled` lag across the run — the
-    /// generator's own tardiness, reported so a cell can prove its
-    /// open-loop numbers are trustworthy.
-    pub fn max_inject_lag(&self) -> Duration {
-        self.sessions
-            .iter()
-            .map(|s| s.injected.saturating_sub(s.scheduled))
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-}
 
 /// One session a round will run: its wire id, the Alice half, and an
 /// optional [`SessionSpec`] to carry on the `OPEN` so the server builds
@@ -302,6 +142,9 @@ struct ClientSlot {
     /// stranded — its transcript has been collected. (Also set directly
     /// for sessions that were never injected.)
     local_done: bool,
+    /// When the session was injected, as an offset from the round's
+    /// start; `None` while (or if never) injected.
+    injected: Option<Duration>,
     /// The instant both of the above became true — the session's settle
     /// time. Stamped once, inside the event loop, so load mode can report
     /// per-session latency; batch mode ignores it.
@@ -317,6 +160,7 @@ impl ClientSlot {
             error: None,
             settled: false,
             local_done: false,
+            injected: None,
             settled_at: None,
         }
     }
@@ -341,14 +185,14 @@ const CLOSED_BEFORE_SETTLE: &str = "connection closed before session settled";
 /// How long a round keeps trying to drain already-queued output after
 /// every session resolved, before giving the connection up as wedged.
 const FLUSH_GRACE: Duration = Duration::from_secs(5);
-/// How long [`MultiClient::finish`] waits for the server's EOFs.
+/// How long [`finish`] waits for the server's EOFs.
 const FINISH_GRACE: Duration = Duration::from_secs(5);
 
 /// One connection's plan for a round: the sessions plus, in open-loop
 /// mode, the arrival schedule.
-struct RoundPlan<'s> {
-    sessions: Vec<SessionPlan<'s>>,
-    schedule: Option<Vec<Duration>>,
+pub(crate) struct RoundPlan<'s> {
+    pub(crate) sessions: Vec<SessionPlan<'s>>,
+    pub(crate) schedule: Option<Vec<Duration>>,
 }
 
 /// One connection's state while a round runs.
@@ -360,7 +204,6 @@ struct RoundConn<'s> {
     pending: std::vec::IntoIter<SessionPlan<'s>>,
     schedule: Option<Vec<Duration>>,
     next_up: usize,
-    injected: Vec<Option<Duration>>,
     frames_in: usize,
     frames_out: usize,
     base_in: u64,
@@ -390,22 +233,75 @@ impl RoundConn<'_> {
     fn all_resolved(&self) -> bool {
         self.slots.iter().all(ClientSlot::resolved)
     }
-}
 
-/// One connection's result of a round, before shaping into a
-/// [`BatchReport`] or [`LoadReport`].
-struct RoundOutcome {
-    slots: Vec<ClientSlot>,
-    injected: Vec<Option<Duration>>,
-    frames_in: usize,
-    frames_out: usize,
-    wire_bytes_in: u64,
-    wire_bytes_out: u64,
-    transport_error: Option<NetError>,
+    /// Shapes this connection's finished round into its report. An
+    /// open-loop round carries per-session timing and spans start to
+    /// last settle when every session completed, start to `loop_end`
+    /// otherwise. A batch round leaves the timing `None` and spans to
+    /// `loop_end`; [`ConnectedDriver::batch`](crate::ConnectedDriver::batch)
+    /// restamps it with the wall clock around the whole call.
+    fn into_report(
+        self,
+        wire_in: u64,
+        wire_out: u64,
+        t0: Instant,
+        loop_end: Duration,
+    ) -> RunReport {
+        let schedule = self.schedule;
+        let sessions: Vec<RunSession> = self
+            .slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let mut error = slot.error;
+                let (scheduled, injected, settled) = match &schedule {
+                    Some(schedule) => {
+                        if slot.injected.is_none() {
+                            error.get_or_insert_with(|| {
+                                "load run ended before this session was injected".into()
+                            });
+                        }
+                        (
+                            Some(schedule[i]),
+                            Some(slot.injected.unwrap_or(loop_end)),
+                            slot.settled_at.map(|at| at.saturating_duration_since(t0)),
+                        )
+                    }
+                    None => (None, None, None),
+                };
+                RunSession {
+                    id: slot.id,
+                    transcript: slot.transcript,
+                    error,
+                    scheduled,
+                    injected,
+                    settled,
+                }
+            })
+            .collect();
+        let elapsed = if schedule.is_some() && sessions.iter().all(RunSession::is_ok) {
+            sessions
+                .iter()
+                .filter_map(|s| s.settled)
+                .max()
+                .unwrap_or(loop_end)
+        } else {
+            loop_end
+        };
+        RunReport {
+            sessions,
+            elapsed,
+            frames_out: self.frames_out,
+            frames_in: self.frames_in,
+            wire_bytes_out: wire_out - self.base_out,
+            wire_bytes_in: wire_in - self.base_in,
+            transport_error: self.transport_error,
+        }
+    }
 }
 
 /// A pooled connection between rounds.
-struct PoolConn {
+pub(crate) struct PoolConn {
     io: Option<ConnIo>,
     /// Why `io` is `None` — surfaced when a later round still names
     /// this connection.
@@ -416,6 +312,43 @@ struct PoolConn {
     /// Ids opened as continuous sessions — the one sanctioned form of
     /// id reuse: each later round names the same id again.
     continuous: HashSet<u64>,
+}
+
+impl PoolConn {
+    pub(crate) fn new(stream: TcpStream) -> io::Result<PoolConn> {
+        Ok(PoolConn {
+            io: Some(ConnIo::new(stream)?),
+            closed_reason: None,
+            used: HashSet::new(),
+            continuous: HashSet::new(),
+        })
+    }
+
+    pub(crate) fn is_live(&self) -> bool {
+        self.io.is_some()
+    }
+
+    /// Retires a continuous session: sends `DONE` under its id so the
+    /// server drops the resident party, and frees the id's continuous
+    /// standing on this connection. Queued output is flushed best-effort
+    /// here and drains fully on the next round or at [`finish`].
+    pub(crate) fn close_continuous(&mut self, id: u64) -> Result<(), NetError> {
+        if !self.continuous.remove(&id) {
+            return Err(NetError::Malformed(
+                "id is not open as a continuous session on this connection",
+            ));
+        }
+        // A dead connection already took the server-side state with it.
+        let Some(io) = self.io.as_mut() else {
+            return Ok(());
+        };
+        io.queue(&Record::Done {
+            session: id,
+            status: STATUS_OK,
+            message: String::new(),
+        })?;
+        io.try_flush()
+    }
 }
 
 /// Marks a connection failed mid-round: kills the socket, settles every
@@ -474,22 +407,13 @@ fn settle_leftovers(rc: &mut RoundConn<'_>, injector: &Injector<'_>, msg: &str) 
     }
 }
 
-/// The round driver: injects each connection's sessions (on schedule in
-/// open-loop mode, immediately otherwise), routes wire records and
-/// executor events, and runs until every session on every connection is
-/// resolved. Returns per-connection outcomes plus the shared clock —
-/// `Err` only for argument errors and poller setup, never for
-/// connection failures (those are per-connection outcomes).
-fn drive_rounds<'s>(
-    pool: &mut [PoolConn],
-    plans: Vec<RoundPlan<'s>>,
-    shards: usize,
-    idle_timeout: Option<Duration>,
-) -> Result<(Vec<RoundOutcome>, Instant, Duration), NetError> {
+/// Checks a round's plans against the pool without touching it, so a
+/// rejected round leaves every connection's id bookkeeping as it was.
+fn validate_plans(pool: &[PoolConn], plans: &[RoundPlan<'_>]) -> Result<(), NetError> {
     if plans.len() != pool.len() {
         return Err(NetError::Malformed("one session plan per connection"));
     }
-    for (conn, plan) in pool.iter_mut().zip(&plans) {
+    for (conn, plan) in pool.iter().zip(plans) {
         if let Some(schedule) = &plan.schedule {
             if schedule.len() != plan.sessions.len() {
                 return Err(NetError::Malformed(
@@ -507,11 +431,10 @@ fn drive_rounds<'s>(
             if !seen.insert(s.id) {
                 return Err(NetError::Malformed("duplicate session id in batch"));
             }
-            let fresh = conn.used.insert(s.id);
             match s.round {
                 // One-shot sessions and continuous opens burn a fresh id.
                 None | Some(0) => {
-                    if !fresh {
+                    if conn.used.contains(&s.id) {
                         return Err(NetError::Malformed("session id reused on this connection"));
                     }
                 }
@@ -525,17 +448,42 @@ fn drive_rounds<'s>(
                     }
                 }
             }
-            if s.round == Some(0) {
-                if !s.spec.as_ref().is_some_and(|spec| spec.continuous) {
-                    return Err(NetError::Malformed(
-                        "continuous round 0 needs a spec marked continuous",
-                    ));
-                }
-                conn.continuous.insert(s.id);
-            } else if s.round.is_none() && s.spec.as_ref().is_some_and(|spec| spec.continuous) {
+            let continuous_spec = s.spec.as_ref().is_some_and(|spec| spec.continuous);
+            if s.round == Some(0) && !continuous_spec {
+                return Err(NetError::Malformed(
+                    "continuous round 0 needs a spec marked continuous",
+                ));
+            }
+            if s.round.is_none() && continuous_spec {
                 return Err(NetError::Malformed(
                     "a continuous spec needs a round index on its plan",
                 ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The round driver: injects each connection's sessions (on schedule in
+/// open-loop mode, immediately otherwise), routes wire records and
+/// executor events, and runs until every session on every connection is
+/// resolved. Returns one report per connection — `Err` only for
+/// argument errors and poller setup, both caught before any id is
+/// committed to the pool; never for connection failures (those are
+/// per-connection outcomes).
+pub(crate) fn drive_rounds<'s>(
+    pool: &mut [PoolConn],
+    plans: Vec<RoundPlan<'s>>,
+    shards: usize,
+    idle_timeout: Option<Duration>,
+) -> Result<Vec<RunReport>, NetError> {
+    validate_plans(pool, &plans)?;
+    let (mut poller, waker) = Poller::new()?;
+    for (conn, plan) in pool.iter_mut().zip(&plans) {
+        for s in &plan.sessions {
+            conn.used.insert(s.id);
+            if s.round == Some(0) {
+                conn.continuous.insert(s.id);
             }
         }
     }
@@ -565,7 +513,6 @@ fn drive_rounds<'s>(
             pending: plan.sessions.into_iter(),
             schedule: plan.schedule,
             next_up: 0,
-            injected: vec![None; n],
             frames_in: 0,
             frames_out: 0,
             base_in,
@@ -577,7 +524,6 @@ fn drive_rounds<'s>(
         });
     }
 
-    let (mut poller, waker) = Poller::new()?;
     let notify: Notify = Arc::new(move || waker.wake());
     let t0 = Instant::now();
     let mut loop_end = Duration::ZERO;
@@ -586,7 +532,7 @@ fn drive_rounds<'s>(
         shards,
         PLACEMENT_SEED,
         Some(notify),
-        |_scope, mut injector, events| {
+        |mut injector, events| {
             // Connections already closed by an earlier round: resolve
             // their sessions immediately.
             for (c, rc) in state.iter_mut().enumerate() {
@@ -639,7 +585,7 @@ fn drive_rounds<'s>(
                         injector.submit(exec, Party::Alice, plan.session);
                         let io = pool[c].io.as_mut().expect("usable conn has io");
                         io.last_activity = Instant::now();
-                        rc.injected[slot_idx] = Some(t0.elapsed());
+                        rc.slots[slot_idx].injected = Some(t0.elapsed());
                         rc.next_up += 1;
                         // A one-shot session OPENs; a continuous round 0
                         // OPENs (spec marked continuous) then announces
@@ -734,8 +680,6 @@ fn drive_rounds<'s>(
                                 .get_or_insert_with(|| CLOSED_BEFORE_SETTLE.into());
                             rc.slots[s].note_progress();
                         }
-                        // The reactor injects nothing.
-                        ExecEvent::Injected { .. } => {}
                     }
                 }
 
@@ -874,9 +818,9 @@ fn drive_rounds<'s>(
         },
     );
 
-    // Shape outcomes and update the pool: dead and cleanly-closed
+    // Shape reports and update the pool: dead and cleanly-closed
     // connections drop out of it.
-    let mut outcomes = Vec::with_capacity(state.len());
+    let mut reports = Vec::with_capacity(state.len());
     for (c, rc) in state.into_iter().enumerate() {
         let conn = &mut pool[c];
         let (wire_in, wire_out) = conn.io.as_ref().map_or((rc.base_in, rc.base_out), |io| {
@@ -894,17 +838,9 @@ fn drive_rounds<'s>(
             conn.closed_reason
                 .get_or_insert_with(|| "connection closed by server".into());
         }
-        outcomes.push(RoundOutcome {
-            slots: rc.slots,
-            injected: rc.injected,
-            frames_in: rc.frames_in,
-            frames_out: rc.frames_out,
-            wire_bytes_in: wire_in - rc.base_in,
-            wire_bytes_out: wire_out - rc.base_out,
-            transport_error: rc.transport_error,
-        });
+        reports.push(rc.into_report(wire_in, wire_out, t0, loop_end));
     }
-    Ok((outcomes, t0, loop_end))
+    Ok(reports)
 }
 
 /// Applies one server record to a connection's round state. `Err` means
@@ -918,9 +854,8 @@ fn route_server_record(
     match record {
         Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
         Record::Frame { session, frame } => {
-            let (s, exec) = lookup(rc, session)?;
+            let (_, exec) = lookup(rc, session)?;
             rc.frames_in += 1;
-            let _ = s;
             injector.deliver(exec, frame);
             Ok(())
         }
@@ -979,406 +914,36 @@ fn lookup(rc: &RoundConn<'_>, wire: u64) -> Result<(usize, u64), NetError> {
     }
 }
 
-fn slots_into_session_reports(slots: Vec<ClientSlot>) -> Vec<SessionReport> {
-    slots
-        .into_iter()
-        .map(|s| SessionReport {
-            id: s.id,
-            transcript: s.transcript,
-            error: s.error,
-        })
-        .collect()
-}
-
-fn outcome_into_batch_report(outcome: RoundOutcome) -> BatchReport {
-    BatchReport {
-        sessions: slots_into_session_reports(outcome.slots),
-        frames_out: outcome.frames_out,
-        frames_in: outcome.frames_in,
-        wire_bytes_out: outcome.wire_bytes_out,
-        wire_bytes_in: outcome.wire_bytes_in,
-        transport_error: outcome.transport_error,
+/// Half-closes every live connection in the pool (shutdown of the write
+/// side — the server sees EOF, finishes, and closes) and drains the read
+/// sides to EOF, bounded by a grace period. Errors at this point are
+/// ignored: the connections are being thrown away.
+pub(crate) fn finish(pool: Vec<PoolConn>) {
+    let mut ios: Vec<ConnIo> = pool.into_iter().filter_map(|c| c.io).collect();
+    for io in &ios {
+        io.shutdown_write();
     }
-}
-
-fn outcome_into_load_report(
-    outcome: RoundOutcome,
-    schedule: &[Duration],
-    t0: Instant,
-    loop_end: Duration,
-) -> LoadReport {
-    let mut report = LoadReport {
-        frames_out: outcome.frames_out,
-        frames_in: outcome.frames_in,
-        wire_bytes_out: outcome.wire_bytes_out,
-        wire_bytes_in: outcome.wire_bytes_in,
-        transport_error: outcome.transport_error,
-        ..LoadReport::default()
+    let Ok((mut poller, _waker)) = Poller::new() else {
+        return;
     };
-    report.sessions = outcome
-        .slots
-        .into_iter()
-        .zip(schedule.iter().zip(outcome.injected))
-        .map(|(slot, (scheduled, injected_at))| {
-            let mut error = slot.error;
-            if injected_at.is_none() {
-                error.get_or_insert_with(|| {
-                    "load run ended before this session was injected".into()
-                });
-            }
-            LoadSessionReport {
-                id: slot.id,
-                scheduled: *scheduled,
-                injected: injected_at.unwrap_or(loop_end),
-                settled: slot.settled_at.map(|at| at.saturating_duration_since(t0)),
-                transcript: slot.transcript,
-                error,
-            }
-        })
-        .collect();
-    // The honest span: to the last settle when everything completed,
-    // to the loop's end when anything failed or never settled.
-    report.elapsed = if report.failed() == 0 {
-        report
-            .sessions
-            .iter()
-            .filter_map(|s| s.settled)
-            .max()
-            .unwrap_or(loop_end)
-    } else {
-        loop_end
-    };
-    report
-}
-
-/// A pool of connections to one
-/// [`ReconServer`](crate::server::ReconServer), all driven by a single
-/// reactor loop and **one** shared executor: C connections cost
-/// `1 + shards` threads, not `C × threads`. Connections stay alive
-/// between rounds — keep calling [`MultiClient::run_batches`] /
-/// [`MultiClient::run_loads`] to inject new session batches onto live
-/// connections — and a connection that fails mid-round takes only its
-/// own sessions down, never its neighbors'.
-pub struct MultiClient {
-    conns: Vec<PoolConn>,
-    shards: usize,
-    idle_timeout: Option<Duration>,
-}
-
-impl MultiClient {
-    /// Connects `conns` connections (≥ 1) to `addr`.
-    pub fn connect(addr: impl ToSocketAddrs, conns: usize) -> io::Result<MultiClient> {
-        assert!(conns >= 1, "a client pool needs at least one connection");
-        let mut streams = Vec::with_capacity(conns);
-        for _ in 0..conns {
-            streams.push(TcpStream::connect(&addr)?);
-        }
-        MultiClient::from_streams(streams, default_shards(), None)
-    }
-
-    fn from_streams(
-        streams: Vec<TcpStream>,
-        shards: usize,
-        idle_timeout: Option<Duration>,
-    ) -> io::Result<MultiClient> {
-        let mut conns = Vec::with_capacity(streams.len());
-        for stream in streams {
-            conns.push(PoolConn {
-                io: Some(ConnIo::new(stream)?),
-                closed_reason: None,
-                used: HashSet::new(),
-                continuous: HashSet::new(),
-            });
-        }
-        Ok(MultiClient {
-            conns,
-            shards,
-            idle_timeout,
-        })
-    }
-
-    /// Sets the shared executor's worker-shard count.
-    pub fn with_shards(mut self, shards: usize) -> MultiClient {
-        assert!(shards >= 1, "the executor needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// Sets (or disables) the per-connection idle deadline: a
-    /// connection with sessions in flight but no wire activity for this
-    /// long is failed — its sessions settle with errors, other
-    /// connections are untouched.
-    pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> MultiClient {
-        self.idle_timeout = timeout;
-        self
-    }
-
-    /// The configured worker-shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// How many connections the pool was built with.
-    pub fn conns(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Connections still usable for further rounds.
-    pub fn live_conns(&self) -> usize {
-        self.conns.iter().filter(|c| c.io.is_some()).count()
-    }
-
-    /// The batch-round engine behind both the deprecated
-    /// [`MultiClient::run_batches`] and the [`Driver`](crate::Driver)
-    /// surface.
-    pub(crate) fn run_batches_inner<'s>(
-        &mut self,
-        batches: Vec<Vec<SessionPlan<'s>>>,
-    ) -> Result<Vec<BatchReport>, NetError> {
-        let plans = batches
-            .into_iter()
-            .map(|sessions| RoundPlan {
-                sessions,
-                schedule: None,
-            })
-            .collect();
-        let (outcomes, _t0, _end) =
-            drive_rounds(&mut self.conns, plans, self.shards, self.idle_timeout)?;
-        Ok(outcomes
-            .into_iter()
-            .map(outcome_into_batch_report)
-            .collect())
-    }
-
-    /// The open-loop engine behind both the deprecated
-    /// [`MultiClient::run_loads`] and the [`Driver`](crate::Driver)
-    /// surface.
-    pub(crate) fn run_loads_inner<'s>(
-        &mut self,
-        loads: Vec<(Vec<SessionPlan<'s>>, Vec<Duration>)>,
-    ) -> Result<Vec<LoadReport>, NetError> {
-        let mut schedules = Vec::with_capacity(loads.len());
-        let plans = loads
-            .into_iter()
-            .map(|(sessions, schedule)| {
-                schedules.push(schedule.clone());
-                RoundPlan {
-                    sessions,
-                    schedule: Some(schedule),
-                }
-            })
-            .collect();
-        let (outcomes, t0, loop_end) =
-            drive_rounds(&mut self.conns, plans, self.shards, self.idle_timeout)?;
-        Ok(outcomes
-            .into_iter()
-            .zip(schedules)
-            .map(|(outcome, schedule)| outcome_into_load_report(outcome, &schedule, t0, loop_end))
-            .collect())
-    }
-
-    /// Runs one round: `batches[i]` is the session batch for connection
-    /// `i` (empty batches are fine). Session ids must be unique per
-    /// connection across the connection's lifetime. Returns one
-    /// [`BatchReport`] per connection; a connection-level failure is
-    /// reported in that connection's
-    /// [`transport_error`](BatchReport::transport_error), never as a
-    /// call-level `Err` — other connections' sessions settle normally.
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).conns(n).batch(plans)` \
-                or a connected driver's `batch`"
-    )]
-    pub fn run_batches<'s>(
-        &mut self,
-        batches: Vec<Vec<SessionPlan<'s>>>,
-    ) -> Result<Vec<BatchReport>, NetError> {
-        self.run_batches_inner(batches)
-    }
-
-    /// Runs one **open-loop** round: for connection `i`, session `j` of
-    /// `loads[i].0` is injected at offset `loads[i].1[j]` from the
-    /// round's start regardless of how many earlier sessions are still
-    /// in flight. All connections share one clock and one executor.
-    /// Latency accounting follows the coordinated-omission rule — see
-    /// [`LoadSessionReport::latency`].
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).conns(n).load(loads)` \
-                or a connected driver's `load`"
-    )]
-    pub fn run_loads<'s>(
-        &mut self,
-        loads: Vec<(Vec<SessionPlan<'s>>, Vec<Duration>)>,
-    ) -> Result<Vec<LoadReport>, NetError> {
-        self.run_loads_inner(loads)
-    }
-
-    /// Retires a continuous session: sends `DONE` under its id so the
-    /// server drops the resident party, and frees the id's continuous
-    /// standing on this connection. Queued output is flushed best-effort
-    /// here and drains fully on the next round or at
-    /// [`MultiClient::finish`].
-    pub(crate) fn close_continuous(&mut self, conn: usize, id: u64) -> Result<(), NetError> {
-        let c = self
-            .conns
-            .get_mut(conn)
-            .ok_or(NetError::Malformed("no such connection in the pool"))?;
-        if !c.continuous.remove(&id) {
-            return Err(NetError::Malformed(
-                "id is not open as a continuous session on this connection",
-            ));
-        }
-        // A dead connection already took the server-side state with it.
-        let Some(io) = c.io.as_mut() else {
-            return Ok(());
-        };
-        io.queue(&Record::Done {
-            session: id,
-            status: STATUS_OK,
-            message: String::new(),
-        })?;
-        io.try_flush()
-    }
-
-    /// Half-closes every live connection (shutdown of the write side —
-    /// the server sees EOF, finishes, and closes) and drains the read
-    /// sides to EOF, bounded by a grace period. Errors at this point
-    /// are ignored: the connections are being thrown away.
-    pub fn finish(self) {
-        let mut ios: Vec<ConnIo> = self.conns.into_iter().filter_map(|c| c.io).collect();
-        for io in &ios {
-            io.shutdown_write();
-        }
-        let Ok((mut poller, _waker)) = Poller::new() else {
+    let deadline = Instant::now() + FINISH_GRACE;
+    let mut scratch = vec![0u8; READ_CHUNK];
+    while !ios.is_empty() {
+        let now = Instant::now();
+        if now >= deadline {
             return;
-        };
-        let deadline = Instant::now() + FINISH_GRACE;
-        let mut scratch = vec![0u8; READ_CHUNK];
-        while !ios.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let mut fds: Vec<PollFd> = ios.iter().map(|io| PollFd::new(io.fd(), POLLIN)).collect();
-            if poller.wait(&mut fds, Some(deadline - now)).is_err() {
-                return;
-            }
-            let mut keep = Vec::with_capacity(ios.len());
-            for (io, fd) in ios.into_iter().zip(&fds) {
-                let mut io = io;
-                if !fd.readable() || !io.drain_read(&mut scratch) {
-                    keep.push(io);
-                }
-            }
-            ios = keep;
         }
-    }
-}
-
-/// The client end of a single multiplexed reconciliation connection.
-/// One batch per connection: [`ReconClient::run_batch`] consumes the
-/// client and shuts the connection down when the batch settles. (For
-/// many connections, or many batches on one connection, use
-/// [`MultiClient`].)
-pub struct ReconClient {
-    stream: TcpStream,
-    shards: usize,
-}
-
-impl ReconClient {
-    /// Connects to a [`ReconServer`](crate::server::ReconServer). The
-    /// batch is driven with [`default_shards`] worker shards unless
-    /// [`ReconClient::with_shards`] overrides it.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ReconClient> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(ReconClient {
-            stream,
-            shards: default_shards(),
-        })
-    }
-
-    /// Sets the executor worker-shard count for the batch.
-    pub fn with_shards(mut self, shards: usize) -> ReconClient {
-        assert!(shards >= 1, "a batch needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// The configured worker-shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Bounds how long the batch tolerates a silent server with
-    /// sessions in flight before the batch fails with a transport
-    /// error.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        // Stored on the socket; the reactor reads it back as the
-        // connection's idle deadline (nonblocking reads never block, so
-        // the kernel-level timeout itself is inert).
-        self.stream.set_read_timeout(timeout)
-    }
-
-    /// Runs a batch of `(session id, Alice session)` pairs over this
-    /// connection, multiplexed and executor-driven, to completion. Ids
-    /// must be unique within the batch and mean something to the
-    /// server's factory.
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).batch(vec![plans])` \
-                (one connection is the driver's default)"
-    )]
-    pub fn run_batch<'s>(
-        self,
-        sessions: Vec<(u64, Box<dyn NetSession + 's>)>,
-    ) -> Result<BatchReport, NetError> {
-        let ReconClient { stream, shards } = self;
-        let idle = stream.read_timeout()?;
-        let mut client = MultiClient::from_streams(vec![stream], shards, idle)?;
-        let plans = sessions
-            .into_iter()
-            .map(|(id, session)| SessionPlan::new(id, session))
-            .collect();
-        let mut reports = client.run_batches_inner(vec![plans])?;
-        let mut report = reports.pop().expect("one report per connection");
-        if let Some(e) = report.transport_error.take() {
-            return Err(e);
+        let mut fds: Vec<PollFd> = ios.iter().map(|io| PollFd::new(io.fd(), POLLIN)).collect();
+        if poller.wait(&mut fds, Some(deadline - now)).is_err() {
+            return;
         }
-        client.finish();
-        Ok(report)
-    }
-
-    /// Runs `(session id, Alice session)` pairs as an **open-loop** load:
-    /// the i-th session is injected at offset `schedule[i]` from the
-    /// run's start regardless of how many earlier sessions are still in
-    /// flight. The schedule must be non-decreasing and as long as the
-    /// session list.
-    ///
-    /// Latency in the returned [`LoadReport`] is measured from the
-    /// *scheduled* arrival, not the actual injection, so any lag the
-    /// generator itself accumulates is charged to the measurement rather
-    /// than silently forgiven (coordinated omission). The largest such
-    /// lag is reported via [`LoadReport::max_inject_lag`].
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).load(vec![(plans, schedule)])` \
-                (one connection is the driver's default)"
-    )]
-    pub fn run_load<'s>(
-        self,
-        sessions: Vec<(u64, Box<dyn NetSession + 's>)>,
-        schedule: &[Duration],
-    ) -> Result<LoadReport, NetError> {
-        let ReconClient { stream, shards } = self;
-        let idle = stream.read_timeout()?;
-        let mut client = MultiClient::from_streams(vec![stream], shards, idle)?;
-        let plans = sessions
-            .into_iter()
-            .map(|(id, session)| SessionPlan::new(id, session))
-            .collect();
-        let mut reports = client.run_loads_inner(vec![(plans, schedule.to_vec())])?;
-        let mut report = reports.pop().expect("one report per connection");
-        if let Some(e) = report.transport_error.take() {
-            return Err(e);
+        let mut keep = Vec::with_capacity(ios.len());
+        for (io, fd) in ios.into_iter().zip(&fds) {
+            let mut io = io;
+            if !fd.readable() || !io.drain_read(&mut scratch) {
+                keep.push(io);
+            }
         }
-        client.finish();
-        Ok(report)
+        ios = keep;
     }
 }

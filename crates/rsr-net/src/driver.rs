@@ -1,24 +1,16 @@
 //! [`Driver`]: the one client surface for every way of running
 //! reconciliation sessions over the wire.
 //!
-//! PR 6 grew [`ReconClient::run_batch`](crate::ReconClient::run_batch),
-//! PR 7 added [`MultiClient::run_batches`](crate::MultiClient) and the
-//! open-loop `run_load`/`run_loads` pair — four entry points, two report
-//! shapes, and an asymmetry: the single-connection path configured its
-//! idle deadline through a socket option while the pool took a builder
-//! argument. The driver collapses all of it:
-//!
 //! ```text
 //! Driver::new(addr).conns(4).shards(2).batch(plans)      // closed loop
 //! Driver::new(addr).idle_timeout(t).load(scheduled)      // open loop
 //! Driver::new(addr).connect()?                           // many rounds
 //! ```
 //!
-//! Both modes return one [`DriverReport`] — per-connection
-//! [`RunReport`]s holding per-session [`RunSession`]s, where open-loop
-//! timing fields are simply `None` for batch runs. The old entry points
-//! survive as deprecated forwarders onto the same engine, so nothing
-//! built on them changes behaviour.
+//! The builder takes three settings — pool width, executor shards and
+//! the idle deadline — and both modes return one [`DriverReport`]:
+//! per-connection [`RunReport`]s holding per-session [`RunSession`]s,
+//! where open-loop timing fields are simply `None` for batch runs.
 //!
 //! One-shot [`Driver::batch`]/[`Driver::load`] connect, run one round,
 //! and tear the pool down. [`Driver::connect`] instead hands back a
@@ -26,13 +18,15 @@
 //! shape continuous sessions need: open with round 0 in one `batch`
 //! call, keep churning and driving later rounds in further calls, then
 //! [`ConnectedDriver::close_session`] and
-//! [`ConnectedDriver::finish`].
+//! [`ConnectedDriver::finish`]. Every round runs on the engine in
+//! [`client`].
 
-use crate::client::{BatchReport, LoadReport, MultiClient, SessionPlan};
+use crate::client::{self, PoolConn, RoundPlan, SessionPlan};
 use crate::codec::NetError;
+use crate::executor::default_shards;
 use rsr_core::transcript::Transcript;
 use std::io;
-use std::net::ToSocketAddrs;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// One session's record in a [`RunReport`] — the union of the batch and
@@ -90,7 +84,9 @@ pub struct RunReport {
     /// Frames sent to the server (all sessions).
     pub frames_out: usize,
     /// Frames received from the server and routed to a known session
-    /// id.
+    /// id. Counted at routing time, before the executor decides whether
+    /// the session is still live, so a frame racing a session's failure
+    /// is counted even though the worker drops it as stale.
     pub frames_in: usize,
     /// Raw bytes written, record headers included.
     pub wire_bytes_out: u64,
@@ -98,7 +94,8 @@ pub struct RunReport {
     pub wire_bytes_in: u64,
     /// The connection-level failure, when this connection's transport
     /// died mid-run (every unsettled session then carries a matching
-    /// per-session error); `None` for an orderly run.
+    /// per-session error); `None` for an orderly run — including one
+    /// where the server closed cleanly before every session settled.
     pub transport_error: Option<NetError>,
 }
 
@@ -182,71 +179,23 @@ impl DriverReport {
     }
 }
 
-fn batch_into_run_report(report: BatchReport, elapsed: Duration) -> RunReport {
-    RunReport {
-        sessions: report
-            .sessions
-            .into_iter()
-            .map(|s| RunSession {
-                id: s.id,
-                transcript: s.transcript,
-                error: s.error,
-                scheduled: None,
-                injected: None,
-                settled: None,
-            })
-            .collect(),
-        elapsed,
-        frames_out: report.frames_out,
-        frames_in: report.frames_in,
-        wire_bytes_out: report.wire_bytes_out,
-        wire_bytes_in: report.wire_bytes_in,
-        transport_error: report.transport_error,
-    }
-}
-
-fn load_into_run_report(report: LoadReport) -> RunReport {
-    RunReport {
-        sessions: report
-            .sessions
-            .into_iter()
-            .map(|s| RunSession {
-                id: s.id,
-                transcript: s.transcript,
-                error: s.error,
-                scheduled: Some(s.scheduled),
-                injected: Some(s.injected),
-                settled: s.settled,
-            })
-            .collect(),
-        elapsed: report.elapsed,
-        frames_out: report.frames_out,
-        frames_in: report.frames_in,
-        wire_bytes_out: report.wire_bytes_out,
-        wire_bytes_in: report.wire_bytes_in,
-        transport_error: report.transport_error,
-    }
-}
-
 /// Builder for a client run against a
-/// [`ReconServer`](crate::server::ReconServer). See the module docs for
-/// the surface it replaces.
+/// [`ReconServer`](crate::server::ReconServer); see the module docs.
 pub struct Driver<A: ToSocketAddrs> {
     addr: A,
     conns: usize,
-    shards: Option<usize>,
+    shards: usize,
     idle_timeout: Option<Duration>,
 }
 
 impl<A: ToSocketAddrs> Driver<A> {
-    /// A driver for `addr`: one connection, [`default_shards`](crate::default_shards)
-    /// (crate::executor::default_shards) executor shards, no idle
-    /// deadline.
+    /// A driver for `addr`: one connection, [`default_shards`] executor
+    /// shards, no idle deadline.
     pub fn new(addr: A) -> Driver<A> {
         Driver {
             addr,
             conns: 1,
-            shards: None,
+            shards: default_shards(),
             idle_timeout: None,
         }
     }
@@ -261,7 +210,7 @@ impl<A: ToSocketAddrs> Driver<A> {
     /// Sets the shared executor's worker-shard count (≥ 1).
     pub fn shards(mut self, shards: usize) -> Driver<A> {
         assert!(shards >= 1, "the executor needs at least one shard");
-        self.shards = Some(shards);
+        self.shards = shards;
         self
     }
 
@@ -278,12 +227,15 @@ impl<A: ToSocketAddrs> Driver<A> {
     /// Connects the pool and keeps it: rounds run on the returned
     /// [`ConnectedDriver`] until [`ConnectedDriver::finish`].
     pub fn connect(self) -> io::Result<ConnectedDriver> {
-        let mut inner = MultiClient::connect(&self.addr, self.conns)?;
-        if let Some(shards) = self.shards {
-            inner = inner.with_shards(shards);
+        let mut pool = Vec::with_capacity(self.conns);
+        for _ in 0..self.conns {
+            pool.push(PoolConn::new(TcpStream::connect(&self.addr)?)?);
         }
-        inner = inner.with_idle_timeout(self.idle_timeout);
-        Ok(ConnectedDriver { inner })
+        Ok(ConnectedDriver {
+            pool,
+            shards: self.shards,
+            idle_timeout: self.idle_timeout,
+        })
     }
 
     /// One-shot closed-loop run: connects, runs `batches[i]` on
@@ -313,25 +265,43 @@ impl<A: ToSocketAddrs> Driver<A> {
 }
 
 /// A connected driver: the pool persists between rounds, which is what
-/// continuous sessions (and any multi-round workload) need.
+/// continuous sessions (and any multi-round workload) need. C
+/// connections cost `1 + shards` threads while a round runs, and a
+/// connection that fails mid-round takes only its own sessions down,
+/// never its neighbors'.
 pub struct ConnectedDriver {
-    inner: MultiClient,
+    pool: Vec<PoolConn>,
+    shards: usize,
+    idle_timeout: Option<Duration>,
 }
 
 impl ConnectedDriver {
     /// Runs one closed-loop round; see [`Driver::batch`]. Callable
     /// repeatedly — session ids must be fresh per connection except for
     /// continuous rounds, which deliberately re-use their session's id.
+    /// A connection-level failure is reported in that connection's
+    /// [`RunReport::transport_error`], never as a call-level `Err`; an
+    /// `Err` means the round was refused before anything was sent or
+    /// any session id spent (a plan broke the rules above, or the
+    /// poller could not start).
     pub fn batch(&mut self, batches: Vec<Vec<SessionPlan<'_>>>) -> Result<DriverReport, NetError> {
         let t0 = Instant::now();
-        let reports = self.inner.run_batches_inner(batches)?;
+        let plans = batches
+            .into_iter()
+            .map(|sessions| RoundPlan {
+                sessions,
+                schedule: None,
+            })
+            .collect();
+        let mut conns =
+            client::drive_rounds(&mut self.pool, plans, self.shards, self.idle_timeout)?;
+        // A batch round spans the wall clock around the whole call,
+        // shared by every connection since they run together.
         let elapsed = t0.elapsed();
-        Ok(DriverReport {
-            conns: reports
-                .into_iter()
-                .map(|r| batch_into_run_report(r, elapsed))
-                .collect(),
-        })
+        for conn in &mut conns {
+            conn.elapsed = elapsed;
+        }
+        Ok(DriverReport { conns })
     }
 
     /// Runs one open-loop round; see [`Driver::load`].
@@ -339,14 +309,15 @@ impl ConnectedDriver {
         &mut self,
         loads: Vec<(Vec<SessionPlan<'_>>, Vec<Duration>)>,
     ) -> Result<DriverReport, NetError> {
-        Ok(DriverReport {
-            conns: self
-                .inner
-                .run_loads_inner(loads)?
-                .into_iter()
-                .map(load_into_run_report)
-                .collect(),
-        })
+        let plans = loads
+            .into_iter()
+            .map(|(sessions, schedule)| RoundPlan {
+                sessions,
+                schedule: Some(schedule),
+            })
+            .collect();
+        let conns = client::drive_rounds(&mut self.pool, plans, self.shards, self.idle_timeout)?;
+        Ok(DriverReport { conns })
     }
 
     /// Retires a continuous session on connection `conn`: the server
@@ -354,27 +325,30 @@ impl ConnectedDriver {
     /// connection ends. Errors if the id was never opened as continuous
     /// there.
     pub fn close_session(&mut self, conn: usize, id: u64) -> Result<(), NetError> {
-        self.inner.close_continuous(conn, id)
+        self.pool
+            .get_mut(conn)
+            .ok_or(NetError::Malformed("no such connection in the pool"))?
+            .close_continuous(id)
     }
 
     /// How many connections the pool was built with.
     pub fn conns(&self) -> usize {
-        self.inner.conns()
+        self.pool.len()
     }
 
     /// Connections still usable for further rounds.
     pub fn live_conns(&self) -> usize {
-        self.inner.live_conns()
+        self.pool.iter().filter(|c| c.is_live()).count()
     }
 
     /// The configured worker-shard count.
     pub fn shards(&self) -> usize {
-        self.inner.shards()
+        self.shards
     }
 
     /// Half-closes every live connection and drains the server's EOFs,
     /// bounded by a grace period.
     pub fn finish(self) {
-        self.inner.finish();
+        client::finish(self.pool);
     }
 }

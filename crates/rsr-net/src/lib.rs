@@ -16,23 +16,25 @@
 //!   runs its own party's session with
 //!   [`drive_channel`](rsr_core::session::drive_channel); the sessions
 //!   themselves are unchanged from the in-memory path.
-//! * [`ReconServer`] / [`ReconClient`] — many concurrent sessions
-//!   multiplexed over **one** connection, each endpoint driving its
-//!   halves on `rsr-core`'s sharded worker-pool executor (see
-//!   [`executor`]): the server holds the Bob half of every session
+//! * [`ReconServer`] — many concurrent sessions multiplexed over each
+//!   connection, driven on `rsr-core`'s sharded worker-pool executor
+//!   (see [`executor`]): the server holds the Bob half of every session
 //!   (created on demand by a [`SessionFactory`], placed on a shard by
-//!   power-of-two choices) in a thread-per-connection accept loop; the
-//!   client batches N Alice sessions and interleaves their frames. Both
-//!   sides keep per-session
-//!   [`Transcript`](rsr_core::transcript::Transcript)s and
-//!   per-connection byte counters that must — and are tested to — agree
-//!   with the in-memory driver's accounting.
+//!   power-of-two choices) behind one readiness reactor for every
+//!   connection.
 //! * [`Driver`] — the one client entry point over all of it:
 //!   `Driver::new(addr).conns(n).shards(s)` then [`Driver::batch`]
 //!   (closed loop), [`Driver::load`] (open loop), or
-//!   [`Driver::connect`] for a persistent pool running many rounds —
-//!   including **continuous** sessions, whose resident state spans
-//!   rounds under one wire id (see [`SessionPlan::open_continuous`]).
+//!   [`Driver::connect`] for a persistent [`ConnectedDriver`] pool
+//!   running many rounds — including **continuous** sessions, whose
+//!   resident state spans rounds under one wire id (see
+//!   [`SessionPlan::open_continuous`]). Every run returns one
+//!   [`DriverReport`] of per-connection [`RunReport`]s.
+//!
+//! Both endpoints keep per-session
+//! [`Transcript`](rsr_core::transcript::Transcript)s and per-connection
+//! byte counters that must — and are tested to — agree with the
+//! in-memory driver's accounting.
 //!
 //! See `docs/transport.md` for the wire layout and error-handling rules.
 
@@ -45,10 +47,7 @@ mod reactor;
 pub mod server;
 pub mod tcp;
 
-pub use client::{
-    BatchReport, LoadReport, LoadSessionReport, MultiClient, ReconClient, SessionPlan,
-    SessionReport,
-};
+pub use client::SessionPlan;
 pub use codec::{
     read_record, write_record, NetError, Record, RecordDecoder, SessionSpec, MAX_RECORD_BYTES,
     PROTO_CONT, PROTO_EMD, PROTO_GAP, PROTO_SCALED_EMD, STATUS_OK, STATUS_SESSION_ERROR,
@@ -57,7 +56,6 @@ pub use codec::{
 pub use driver::{ConnectedDriver, Driver, DriverReport, RunReport, RunSession};
 pub use executor::{default_shards, MAX_DEFAULT_SHARDS};
 pub use server::{
-    handle_connection, handle_connection_sharded, ConnectionReport, NetSession, ReconServer,
-    SessionFactory, SessionSummary,
+    handle_connection, ConnectionReport, NetSession, ReconServer, SessionFactory, SessionSummary,
 };
 pub use tcp::TcpChannel;

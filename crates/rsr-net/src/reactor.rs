@@ -385,7 +385,7 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
         opts.shards,
         PLACEMENT_SEED,
         Some(notify),
-        |_scope, mut injector, events| {
+        |mut injector, events| {
             // Executor session id → (connection slot, wire session id).
             let mut routes: HashMap<u64, (usize, u64)> = HashMap::new();
             let mut next_exec: u64 = 0;
@@ -581,9 +581,6 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
                                 );
                             }
                         }
-                        // The reactor writes control replies directly;
-                        // nothing injects.
-                        ExecEvent::Injected { .. } => {}
                     }
                 }
 

@@ -80,12 +80,6 @@ pub trait SessionFactory: Send + Sync {
         spec: Option<&SessionSpec>,
     ) -> Option<Box<dyn NetSession + '_>>;
 
-    /// Convenience wrapper for id-keyed opens; equivalent to
-    /// [`SessionFactory::open_spec`] with no spec.
-    fn open(&self, session_id: u64) -> Option<Box<dyn NetSession + '_>> {
-        self.open_spec(session_id, None)
-    }
-
     /// The resident Bob party for an `OPEN` whose spec is marked
     /// [`continuous`](SessionSpec::continuous): the server keeps the
     /// returned party alive on the connection and spins one
@@ -163,21 +157,12 @@ pub fn handle_connection<F: SessionFactory + ?Sized>(
     factory: &F,
     stream: TcpStream,
 ) -> Result<ConnectionReport, NetError> {
-    handle_connection_sharded(factory, stream, default_shards())
-}
-
-/// [`handle_connection`] with an explicit worker-shard count (≥ 1).
-pub fn handle_connection_sharded<F: SessionFactory + ?Sized>(
-    factory: &F,
-    stream: TcpStream,
-    shards: usize,
-) -> Result<ConnectionReport, NetError> {
     serve_streams(
         factory,
         None,
         vec![stream],
         &ServerOpts {
-            shards,
+            shards: default_shards(),
             idle_timeout: None,
             max_conns: Some(1),
         },

@@ -2,15 +2,11 @@
 //! out-of-contract byte stream must fail *cleanly* — a typed error or an
 //! error `DONE` status, never a panic, hang, or huge allocation.
 
-// This suite predates the unified `Driver` and deliberately keeps
-// exercising the deprecated entry points it was written against.
-#![allow(deprecated)]
-
 use rsr_core::channel::Frame;
 use rsr_core::session::{drive_channel, DriveError, Session};
 use rsr_core::transcript::Party;
 use rsr_net::{
-    read_record, write_record, NetError, ReconClient, ReconServer, Record, SessionFactory,
+    read_record, write_record, Driver, NetError, ReconServer, Record, SessionFactory, SessionPlan,
     TcpChannel, MAX_RECORD_BYTES, STATUS_OK, STATUS_UNKNOWN_SESSION,
 };
 use std::io::Write;
@@ -290,10 +286,6 @@ fn garbage_stream_closes_the_connection_cleanly() {
 #[test]
 fn client_reports_unknown_sessions_without_poisoning_the_batch() {
     let (addr, server) = spawn_server();
-    let client = ReconClient::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
     // Session 7 is unknown to the factory; 0 and 1 are fine. The frame
     // each sink expects comes from this one-frame Alice.
     struct OneFrameSource {
@@ -319,20 +311,23 @@ fn client_reports_unknown_sessions_without_poisoning_the_batch() {
             self.sent
         }
     }
-    let batch: Vec<(u64, Box<dyn rsr_net::NetSession + '_>)> = [0u64, 7, 1]
+    let batch: Vec<SessionPlan<'_>> = [0u64, 7, 1]
         .into_iter()
-        .map(|id| {
-            (
-                id,
-                Box::new(OneFrameSource { sent: false }) as Box<dyn rsr_net::NetSession + '_>,
-            )
-        })
+        .map(|id| SessionPlan::new(id, Box::new(OneFrameSource { sent: false })))
         .collect();
-    let report = client.run_batch(batch).expect("transport stays healthy");
+    let report = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .batch(vec![batch])
+        .expect("round runs");
+    assert!(
+        report.transport_error().is_none(),
+        "transport stays healthy: {:?}",
+        report.transport_error()
+    );
     server.join().unwrap();
     assert_eq!(report.completed(), 2);
     assert_eq!(report.failed(), 1);
-    let failed = report.sessions.iter().find(|s| s.id == 7).unwrap();
+    let failed = report.sessions().find(|s| s.id == 7).unwrap();
     assert!(
         failed.error.as_deref().unwrap().contains("unknown session"),
         "unexpected error: {:?}",
